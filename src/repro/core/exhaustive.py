@@ -111,24 +111,20 @@ class ExhaustiveSearch:
         of the pruning bounds and shard oversubscription); the defaults
         adapt to the space and worker count.
     deadline_s:
-        Hard wall-clock budget for one :meth:`search` call.  All three
-        execution paths honour it: the parallel engine aborts with a
-        checkpointed partial result, the serial batch/scalar loops stop at
-        the next chunk/layout boundary.  The returned result carries
-        ``timed_out=True`` and is the exact best of what was enumerated.
+        Hard wall-clock budget for one :meth:`search` call.  The parallel
+        engine (``workers > 1``), the serial batch loop and the scalar loop
+        all honour it: the engine aborts with a checkpointed partial result,
+        the serial loops stop at the next chunk/layout boundary.  The
+        returned result carries ``timed_out=True`` and is the exact best of
+        what was enumerated.
     shard_max_retries, retry_backoff_s, shard_timeout_s, fault_plan:
         Fault-tolerance knobs forwarded to the parallel engine (bounded
         shard retry, dead-worker watchdog, chaos injection); see
         :class:`~repro.core.parallel_search.ParallelEnumerationEngine`.
-    kernel:
-        Chunk-scoring kernel for the batch paths: ``"numpy"`` (reference)
-        or ``"compiled"`` (numba-jitted; falls back to numpy tolerance-free
-        when numba is absent).  Both are bitwise identical -- see
-        :mod:`repro.core.kernels`.
-    schedule, steal_units, use_shared_memory:
-        Raw-speed knobs forwarded to the parallel engine: dynamic
-        work-stealing shard units vs the static split, the steal-unit
-        count, and shared-memory estimate-table transport to workers.
+    use_shared_memory:
+        Forwarded to the parallel engine: publish the coordinator's warmed
+        estimate tables to workers through shared memory instead of having
+        every worker re-warm them from the pickled cache.
     checkpoint_path:
         Persist the parallel engine's :class:`~repro.core.parallel_search.
         SearchProgress` to this file after every completed shard, and resume
@@ -159,9 +155,6 @@ class ExhaustiveSearch:
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         fault_plan=None,
-        kernel: str = "numpy",
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
         use_shared_memory: bool = True,
         checkpoint_path=None,
     ):
@@ -184,9 +177,6 @@ class ExhaustiveSearch:
         self.retry_backoff_s = retry_backoff_s
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
-        self.kernel = kernel
-        self.schedule = schedule
-        self.steal_units = steal_units
         self.use_shared_memory = use_shared_memory
         self.checkpoint_path = checkpoint_path
         self.toc_model = TOCModel(estimator, cost_override=cost_override)
@@ -286,17 +276,10 @@ class ExhaustiveSearch:
                 constraint=constraint,
                 cache=self.estimate_cache,
                 toc_model=self.toc_model,
-                kernel=self.kernel,
             )
             if evaluator is None:
                 span.set(vectorizable=False)
                 return None
-            with trace.span("es.kernel") as kernel_span:
-                kernel_span.set(
-                    requested=evaluator.kernel.requested,
-                    backend=evaluator.kernel.name,
-                    fallback=evaluator.kernel.fallback_reason,
-                )
             evaluator.stats.build_s = time.perf_counter() - build_started
             span.set(build_s=evaluator.stats.build_s)
         return evaluator
@@ -391,7 +374,6 @@ class ExhaustiveSearch:
             constraint=constraint,
             cache=evaluator.cache,
             chunk_size=self.batch_chunk_size,
-            kernel=self.kernel,
         )
         engine = ParallelEnumerationEngine.from_evaluator(
             evaluator,
@@ -404,8 +386,6 @@ class ExhaustiveSearch:
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
-            schedule=self.schedule,
-            steal_units=self.steal_units,
             use_shared_memory=self.use_shared_memory,
         )
         # Coordinator warm-up (the engine pre-estimates every signature) is

@@ -118,9 +118,6 @@ class EnumerationSpec:
     constraint: Optional[PerformanceConstraint]
     cache: Optional[QueryEstimateCache]
     chunk_size: int = 4096
-    #: Chunk-scoring kernel name (see :mod:`repro.core.kernels`); travels in
-    #: the spec so pool workers resolve the same kernel the coordinator did.
-    kernel: str = "numpy"
 
     def build_evaluator(self) -> BatchLayoutEvaluator:
         return BatchLayoutEvaluator(
@@ -131,7 +128,6 @@ class EnumerationSpec:
             pinned=self.pinned,
             constraint=self.constraint,
             cache=self.cache,
-            kernel=self.kernel,
         )
 
 
@@ -215,15 +211,19 @@ class SearchProgress:
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the checkpoint to ``path`` as JSON; returns the path.
 
-        The write is atomic (temp file + ``os.replace`` in the same
-        directory), so a crash mid-save -- the very interruption scenario
-        checkpoints exist for -- can never destroy the previous good
-        checkpoint.
+        The write is atomic and durable: the temp file is flushed and
+        fsynced before ``os.replace`` renames it over ``path`` in the same
+        directory, so neither a crash mid-save nor a power loss right after
+        it -- the very interruptions checkpoints exist for -- can leave an
+        empty or torn checkpoint in place of the previous good one.
         """
         path = Path(path)
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(payload)
+        with scratch.open("w", encoding="utf-8") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(scratch, path)
         return path
 
@@ -655,11 +655,12 @@ def _worker_init(payload: bytes, shared_value, prefix_depth: int, toc_floor_fact
     Boot cost is measured in three slices -- ``build_s`` (unpickle +
     construct), then **either** ``attach_s`` (map the coordinator's
     shared-memory tables via ``shm_descriptor``) **or** ``warm_s``
-    (pre-populate the estimate tables from the pickled cache when
-    ``warm_eagerly``; the coordinator sets it iff its own evaluator was
-    fully warmed, so warming is pure cache lookups).  The slices ride back
-    on the worker's first completed shard outcome.  A failed shm attach
-    falls back to the warm path: slower, bitwise-identical.
+    (pre-populate the estimate tables from the pickled cache).
+    ``warm_eagerly`` says the coordinator's own evaluator was fully warmed,
+    so warming is pure cache lookups; the worker then warms whenever it has
+    no attached tables -- no descriptor was sent, or the attach failed.  A
+    failed attach therefore costs speed, never bits.  The slices ride back
+    on the worker's first completed shard outcome.
     """
     global _WORKER_STATE
     boot_started = time.perf_counter()
@@ -675,7 +676,7 @@ def _worker_init(payload: bytes, shared_value, prefix_depth: int, toc_floor_fact
             shm_tables = SharedEstimateTables.attach(shm_descriptor)
             evaluator.install_dense_tables(shm_tables.views())
             attach_s = time.perf_counter() - attach_started
-        except Exception:
+        except (UnsupportedBatchEvaluation, OSError, ImportError, ValueError):
             if shm_tables is not None:
                 shm_tables.close()
                 shm_tables = None
@@ -720,7 +721,7 @@ def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
     # Worker caches are pickled copies the coordinator's metrics fold never
     # sees; measure this attempt's delta so the coordinator can fold it once
     # per (shard_id, attempt) -- SearchProgress.record drops duplicate and
-    # retried completions, so stolen/re-run shards cannot double-count.
+    # retried completions, so re-run shards cannot double-count.
     hits_before = evaluator.cache.hits
     misses_before = evaluator.cache.misses
     outcome = _process_shard(
@@ -775,21 +776,12 @@ class ParallelEnumerationEngine:
         shards_per_worker`` subtrees (clamped to ``[1, N-1]``) so shards stay
         balanced and the capacity bound gets traction.
     shards_per_worker:
-        Oversubscription factor: more shards than workers lets the pool
-        balance uneven pruning across processes.
-    schedule:
-        ``"steal"`` (default) cuts the space into fine-grained shard units
-        that idle workers pull dynamically from the coordinator deque --
-        dispatches beyond each worker's initial unit are counted as
-        *steals* -- so a worker whose subtrees prune away instantly moves on
-        to untouched ranges instead of idling behind a static split.
-        ``"static"`` reproduces the coarse ``workers * shards_per_worker``
-        partition.  Results are bitwise identical either way; checkpoints
-        record the unit geometry and refuse cross-schedule resumes.
-    steal_units:
-        Target number of shard units under ``schedule="steal"``; defaults
-        to ``8 * workers * shards_per_worker`` (clamped to the subtree
-        count).
+        Oversubscription factor: the space is cut into ``workers *
+        shards_per_worker`` contiguous shards (clamped to the subtree
+        count).  The coordinator keeps at most two shards per worker in
+        flight and dispatches the next as each completes, so uneven pruning
+        does not strand a process.  Dispatches past the first ``workers``
+        (fresh or re-queued) are counted in ``BatchEvalStats.steals``.
     use_shared_memory:
         Publish the coordinator's fully-warmed dense estimate tables
         through ``multiprocessing.shared_memory`` so workers attach views
@@ -843,14 +835,8 @@ class ParallelEnumerationEngine:
         shard_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
         use_shared_memory: bool = True,
     ):
-        if schedule not in ("steal", "static"):
-            raise ConfigurationError(
-                f"unknown shard schedule {schedule!r} (expected 'steal' or 'static')"
-            )
         self.spec = spec
         self.workers = max(1, int(workers))
         self.shards_per_worker = max(1, int(shards_per_worker))
@@ -861,8 +847,6 @@ class ParallelEnumerationEngine:
         self.shard_timeout_s = shard_timeout_s
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
-        self.schedule = schedule
-        self.steal_units = steal_units
         self.use_shared_memory = use_shared_memory
         self._pool = None
         self._shm_tables: Optional[SharedEstimateTables] = None
@@ -907,23 +891,10 @@ class ParallelEnumerationEngine:
         return depth
 
     def shard_ranges(self) -> List[Tuple[int, int, int]]:
-        """``(shard_id, subtree_lo, subtree_hi)`` for every shard unit.
-
-        Under ``schedule="static"`` this is the coarse
-        ``workers * shards_per_worker`` split; under ``schedule="steal"``
-        the same contiguous-subtree construction at ~8x finer granularity,
-        giving the dynamic dispatcher units small enough that skew-pruned
-        ranges cannot strand a worker.
-        """
-        if self.schedule == "steal":
-            target = (
-                self.steal_units
-                if self.steal_units is not None
-                else 8 * self.workers * self.shards_per_worker
-            )
-            shard_count = min(self.num_subtrees, max(1, int(target)))
-        else:
-            shard_count = min(self.num_subtrees, self.workers * self.shards_per_worker)
+        """``(shard_id, subtree_lo, subtree_hi)`` for every shard: the
+        subtree range cut into ``workers * shards_per_worker`` contiguous
+        pieces (clamped to the subtree count)."""
+        shard_count = min(self.num_subtrees, self.workers * self.shards_per_worker)
         boundaries = np.linspace(0, self.num_subtrees, shard_count + 1).astype(np.int64)
         return [
             (shard_id, int(boundaries[shard_id]), int(boundaries[shard_id + 1]))
@@ -1121,11 +1092,6 @@ class ParallelEnumerationEngine:
             )
             return self._shm_tables.descriptor()
 
-    #: Per-steal span events are capped; past the cap only the summary
-    #: attributes on the enclosing span grow (big runs steal thousands of
-    #: times and the span tree must stay readable).
-    _STEAL_EVENT_CAP = 32
-
     def _run_pool(self, pending, progress: SearchProgress,
                   checkpoint: Optional[Path] = None,
                   deadline: Optional[float] = None) -> None:
@@ -1135,9 +1101,7 @@ class ParallelEnumerationEngine:
         )
         tracer = trace.get_tracer()
         shm_descriptor = self._attach_shared_tables() if self.use_shared_memory else None
-        warm_eagerly = shm_descriptor is None and bool(
-            getattr(self.evaluator, "_fully_warmed", False)
-        )
+        warm_eagerly = bool(getattr(self.evaluator, "_fully_warmed", False))
         context = multiprocessing.get_context(self.start_method)
         shared_value = context.Value("d", progress.best_toc)
         pool = context.Pool(
@@ -1165,16 +1129,12 @@ class ParallelEnumerationEngine:
                     )
                     in_flight[task[0]] = (handle, task, attempt, time.monotonic())
                     dispatched += 1
-                    if self.schedule == "steal" and dispatched > self.workers:
-                        # Beyond every worker's initial unit this dispatch is
-                        # demand-driven: an idle worker stealing the next
-                        # range off the coordinator deque.
+                    if dispatched > self.workers:
+                        # Past the first ``workers`` dispatches every one is
+                        # demand-driven: the next range (fresh or re-queued)
+                        # handed out as an earlier shard completed.
                         steals += 1
                         progress.stats.steals += 1
-                        if steals <= self._STEAL_EVENT_CAP:
-                            trace.current_span().event(
-                                "es.steal", shard_id=task[0], attempt=attempt,
-                            )
                 if deadline is not None and time.monotonic() >= deadline:
                     self._deadline_abort(progress, checkpoint)
                 advanced = False
@@ -1219,8 +1179,7 @@ class ParallelEnumerationEngine:
                 if not advanced:
                     time.sleep(0.005)
             trace.current_span().set(
-                steals=steals, shard_units=len(pending), schedule=self.schedule,
-                shm=shm_descriptor is not None,
+                steals=steals, pending_shards=len(pending), shm=shm_descriptor is not None,
             )
         finally:
             self.close()

@@ -267,7 +267,11 @@ class ExhaustiveSolver:
     constructor-level guard on enumeration size.  ``checkpoint_path``
     persists (and resumes) the parallel engine's search progress so an
     interrupted ``workers > 1`` enumeration restarts from its last
-    completed shard.
+    completed shard.  The other keywords are forwarded unchanged to
+    :class:`~repro.core.exhaustive.ExhaustiveSearch`: ``workers > 1`` runs
+    the parallel engine, which cuts the space into ``workers *
+    shards_per_worker`` shards and ships the warmed estimate tables to its
+    workers through shared memory unless ``use_shared_memory`` is off.
     """
 
     name = "es"
@@ -289,9 +293,6 @@ class ExhaustiveSolver:
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         fault_plan=None,
-        kernel: str = "numpy",
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
         use_shared_memory: bool = True,
         checkpoint_path=None,
     ):
@@ -310,9 +311,6 @@ class ExhaustiveSolver:
         self.retry_backoff_s = retry_backoff_s
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
-        self.kernel = kernel
-        self.schedule = schedule
-        self.steal_units = steal_units
         self.use_shared_memory = use_shared_memory
         self.checkpoint_path = checkpoint_path
 
@@ -339,9 +337,6 @@ class ExhaustiveSolver:
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
-            kernel=self.kernel,
-            schedule=self.schedule,
-            steal_units=self.steal_units,
             use_shared_memory=self.use_shared_memory,
             checkpoint_path=self.checkpoint_path,
         )

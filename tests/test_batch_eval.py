@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import batch_eval
 from repro.core.batch_eval import (
     BatchLayoutEvaluator,
     IncrementalWorkloadEvaluator,
@@ -258,6 +259,60 @@ class TestBatchLayoutEvaluator:
             BatchLayoutEvaluator(
                 [], box1_system, fresh_estimator(small_catalog), small_workload
             )
+
+    @pytest.fixture
+    def pinned_dim_evaluator(self, small_objects, box1_system, small_catalog,
+                             small_workload):
+        """Fact objects enumerated, dimension objects pinned to HDD RAID 0."""
+        fact = [obj for obj in small_objects if obj.table == "fact"]
+        dim = [obj for obj in small_objects if obj.table != "fact"]
+        return BatchLayoutEvaluator(
+            fact, box1_system, fresh_estimator(small_catalog), small_workload,
+            pinned=[(obj, "HDD RAID 0") for obj in dim],
+        )
+
+    @staticmethod
+    def all_rows(evaluator):
+        return np.concatenate([
+            chunk for _, chunk in iter_assignment_chunks(
+                len(evaluator.var_names), evaluator.num_classes, 16
+            )
+        ])
+
+    def test_space_goes_through_the_shared_accumulation(self, monkeypatch,
+                                                        pinned_dim_evaluator):
+        # The parallel engine's capacity bound is sound only because the
+        # evaluator and the bound accumulate space through one routine, in
+        # the scalar order: pinned objects first, then columns left to right.
+        evaluator = pinned_dim_evaluator
+        calls = []
+        shared = batch_eval.accumulate_space_used
+
+        def spy(*args):
+            calls.append(args)
+            return shared(*args)
+
+        monkeypatch.setattr(batch_eval, "accumulate_space_used", spy)
+        rows = self.all_rows(evaluator)
+        used = evaluator._space_used(rows)
+        assert len(calls) == 1
+        for row, row_used in zip(rows, used):
+            expected = [0.0] * evaluator.num_classes
+            for _, class_index, size_gb in evaluator.pinned:
+                expected[class_index] += size_gb
+            for column, size_gb in enumerate(evaluator.var_sizes):
+                expected[row[column]] += size_gb
+            assert list(row_used) == expected
+
+    def test_query_on_pinned_objects_only_has_one_slot(self, pinned_dim_evaluator):
+        # update_dim touches only the pinned dimension objects: its
+        # signature has no variable column, so every candidate shares code 0.
+        evaluator = pinned_dim_evaluator
+        table = evaluator._tables["update_dim"]
+        assert table.var_columns.size == 0
+        slots = evaluator._slots_for(table, self.all_rows(evaluator))
+        assert (slots == 0).all()
+        assert len(table.response_ms) == 1
 
 
 class TestIncrementalEvaluator:

@@ -8,7 +8,9 @@ and the branch-and-bound pruning must be sound -- the pruned engine finds
 the same optimum as the unpruned enumeration on randomized spaces.
 """
 
+import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,29 +134,47 @@ class TestRangeEnumeration:
             assert list(row) == self.decode_index(start + offset, 19, 3)
         assert (rows[-1] == 2).all()  # the very last assignment: all on class 2
 
-    def test_steal_boundaries_cover_each_index_once(self):
-        # The steal schedule splits one subtree range into many fine units;
-        # stitching their chunk streams back together must visit each index
+    def test_shard_boundaries_cover_each_index_once(
+            self, small_objects, box1_system, small_catalog, small_workload):
+        # The static split cuts the subtree range into workers *
+        # shards_per_worker contiguous shards.  With a subtree count the
+        # shard count does not divide, the shards are uneven; stitching
+        # their chunk streams back together must still visit each index
         # exactly once, in order, bitwise equal to a single direct pass.
-        total = 3**19
-        window_lo, window_hi = total - 5000, total - 17
-        boundaries = np.unique(
-            np.linspace(window_lo, window_hi, 23).astype(np.int64)
+        estimator = fresh_estimator(small_catalog)
+        evaluator = BatchLayoutEvaluator(small_objects, box1_system, estimator, small_workload)
+        spec = EnumerationSpec(
+            variable_objects=small_objects, system=box1_system, estimator=estimator,
+            workload=small_workload, pinned=[], constraint=None, cache=evaluator.cache,
         )
+        engine = ParallelEnumerationEngine(
+            spec, workers=WORKERS, prefix_depth=3, shards_per_worker=5,
+            parent_evaluator=evaluator,
+        )
+        num_objects, num_classes = engine.num_objects, engine.num_classes
+        shard_count = WORKERS * 5
+        assert engine.num_subtrees % shard_count != 0
+        shards = engine.shard_ranges()
+        assert [shard_id for shard_id, _, _ in shards] == list(range(shard_count))
+        assert shards[0][1] == 0 and shards[-1][2] == engine.num_subtrees
+        assert len({hi - lo for _, lo, hi in shards}) > 1  # uneven by construction
+        subtree_size = num_classes ** (num_objects - engine.prefix_depth)
         pieces = []
-        for unit_lo, unit_hi in zip(boundaries[:-1], boundaries[1:]):
-            pieces.extend(
-                iter_assignment_chunks(19, 3, 64, start=int(unit_lo), stop=int(unit_hi))
-            )
-        expected_start = window_lo
+        expected_lo = 0
+        for _, lo, hi in shards:
+            assert lo == expected_lo  # no gap, no overlap between shards
+            expected_lo = hi
+            pieces.extend(iter_assignment_chunks(
+                num_objects, num_classes, 7, start=lo * subtree_size, stop=hi * subtree_size,
+            ))
+        expected_start = 0
         for chunk_start, matrix in pieces:
             assert chunk_start == expected_start  # no skip, no overlap
             expected_start += matrix.shape[0]
-        assert expected_start == window_hi
+        assert expected_start == engine.space
         stitched = np.concatenate([matrix for _, matrix in pieces])
         direct = np.concatenate(
-            [matrix for _, matrix in
-             iter_assignment_chunks(19, 3, 512, start=window_lo, stop=window_hi)]
+            [matrix for _, matrix in iter_assignment_chunks(num_objects, num_classes, 512)]
         )
         assert (stitched == direct).all()
 
@@ -515,13 +535,13 @@ class TestResume:
             workload=small_workload, pinned=[], constraint=None,
             cache=evaluator.cache,
         )
-        # Static schedule: both engines then cut the same shard count, so the
-        # refusal must come from the prefix-depth stamp, not the shard count.
+        # Both engines cut the same shard count, so the refusal must come
+        # from the prefix-depth stamp, not the shard count.
         engine_a = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=2, schedule="static"
+            evaluator, spec, workers=1, prefix_depth=2
         )
         engine_b = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=3, schedule="static"
+            evaluator, spec, workers=1, prefix_depth=3
         )
         assert len(engine_a.shard_ranges()) == len(engine_b.shard_ranges())
         progress = engine_a.run()
@@ -780,3 +800,27 @@ class TestDiskCheckpoint:
         progress.save(path)  # overwrite in place
         assert SearchProgress.load(path).completed == {0}
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_fsyncs_the_payload_before_the_rename(self, tmp_path, monkeypatch):
+        # Without the fsync a power loss after the rename can leave an empty
+        # file where the checkpoint was: the data must be durable first.
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        path = tmp_path / "durable.json"
+        scratch = tmp_path / "durable.json.tmp"
+
+        def fsync(fd):
+            # The payload is flushed by now: the scratch file holds it whole.
+            calls.append(("fsync", SearchProgress.load(scratch).completed))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        progress = SearchProgress(total_shards=3, space=27, prefix_depth=1, completed={2})
+        progress.save(path)
+        assert calls == [("fsync", {2}), ("replace", "durable.json.tmp", "durable.json")]
+        assert SearchProgress.load(path).completed == {2}
